@@ -29,6 +29,17 @@ pub struct Cluster {
     monitor: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
+/// How often the liveness monitor samples heartbeats. A zero timeout
+/// disables the monitor; idle executor threads then still use the longest
+/// interval to pace their heartbeat.
+fn monitor_interval(liveness_timeout: Duration) -> Duration {
+    let longest = Duration::from_millis(250);
+    if liveness_timeout.is_zero() {
+        return longest;
+    }
+    (liveness_timeout / 4).clamp(Duration::from_millis(5), longest)
+}
+
 /// Coordinator-side failure detector (§IV-G): "The coordinator monitors
 /// worker heartbeats and removes nodes that fail to respond." Each worker's
 /// executor threads bump a heartbeat counter between quanta; if the counter
@@ -41,7 +52,7 @@ fn run_liveness_monitor(
     timeout: Duration,
     stop: Arc<AtomicBool>,
 ) {
-    let interval = (timeout / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
+    let interval = monitor_interval(timeout);
     let mut last: Vec<(u64, Instant)> = workers
         .iter()
         .map(|w| (w.heartbeat(), Instant::now()))
@@ -116,6 +127,10 @@ impl Cluster {
                     pool,
                     telemetry.clone(),
                     trace.clone(),
+                    // An idle worker's heartbeat moves several times per
+                    // monitor sample, so a late wakeup under CPU pressure
+                    // does not look like a hang.
+                    monitor_interval(config.liveness_timeout) / 4,
                 )
             })
             .collect();

@@ -493,6 +493,7 @@ impl Coordinator {
         // leaf drivers of a LIMIT query that finished early) stop before
         // their memory registration disappears.
         state.cancel();
+        state.release_tasks();
         self.active.lock().remove(&query);
         for w in &self.workers {
             w.pool.unregister_query(query);
@@ -610,6 +611,11 @@ impl Coordinator {
             }
             let _ = fid;
         }
+        // The coordinator parks on the query's own wake while it drains the
+        // root buffer and watches writer scaling, so those buffers signal it.
+        tasks[plan.root as usize][0]
+            .output
+            .set_listener(Arc::clone(state.wake()));
         // Writer scaling: round-robin producers start with one active
         // partition; the monitor below raises it under backpressure.
         let mut scaling_buffers = Vec::new();
@@ -617,6 +623,7 @@ impl Coordinator {
             if fragment.output == OutputPartitioning::RoundRobin {
                 for task in &tasks[fid] {
                     task.output.set_active_partitions(1);
+                    task.output.set_listener(Arc::clone(state.wake()));
                     scaling_buffers.push(Arc::clone(&task.output));
                 }
             }
@@ -640,17 +647,16 @@ impl Coordinator {
         for fid in order {
             if phased {
                 // Wait for build-side source fragments to finish first.
+                // Task completion and query cancellation both signal.
                 for &dep in &deps[fid as usize] {
                     loop {
-                        if state.is_cancelled() {
-                            break;
-                        }
+                        let epoch = state.wake().epoch();
                         let done = handles[dep as usize].iter().all(|h| h.is_done())
                             && !handles[dep as usize].is_empty();
-                        if done {
+                        if done || state.is_cancelled() {
                             break;
                         }
-                        std::thread::sleep(Duration::from_micros(200));
+                        state.wake().wait(epoch, None);
                     }
                 }
             }
@@ -686,6 +692,9 @@ impl Coordinator {
         let mut pages = Vec::new();
         let mut token = 0u64;
         loop {
+            // Read the epoch before looking: new root pages, query failure
+            // and buffer fill (for writer scaling) all signal.
+            let epoch = state.wake().epoch();
             if let Some(e) = state.error() {
                 return Err(e);
             }
@@ -707,7 +716,7 @@ impl Coordinator {
                 }
             }
             if response.pages.is_empty() {
-                std::thread::sleep(Duration::from_micros(200));
+                state.wake().wait(epoch, None);
             }
         }
         if let Some(e) = state.error() {
@@ -733,8 +742,13 @@ impl Coordinator {
             // leaf drivers running until cancellation, and those report
             // whatever they had when cancelled.
             let deadline = Instant::now() + Duration::from_millis(500);
-            while !handles.iter().flatten().all(|h| h.is_done()) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(200));
+            loop {
+                let epoch = state.wake().epoch();
+                let now = Instant::now();
+                if handles.iter().flatten().all(|h| h.is_done()) || now >= deadline {
+                    break;
+                }
+                state.wake().wait(epoch, Some(deadline - now));
             }
         }
         // Final statistics are always assembled (§VII: "Presto collects

@@ -9,7 +9,7 @@
 //! cluster can be configured to kill that query instead.
 
 use parking_lot::Mutex;
-use presto_common::{PrestoError, QueryId, Result, TraceBuffer, TraceKind};
+use presto_common::{wake, PrestoError, QueryId, Result, TraceBuffer, TraceKind};
 use presto_exec::memory::{MemoryPool, ReservationResult, RevocationHandle};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -85,6 +85,7 @@ impl ReservedPoolLock {
         let mut owner = self.owner.lock();
         if *owner == Some(query) {
             *owner = None;
+            wake::signal();
         }
     }
 }
@@ -236,6 +237,9 @@ impl NodeMemoryPool {
     /// only makes the bytes visible to general-pool arbitration.
     pub fn reserve_system(&self, delta: i64) {
         self.system_used.fetch_add(delta, Ordering::Relaxed);
+        if delta < 0 {
+            wake::signal();
+        }
     }
 
     /// Node-level system memory currently charged via
@@ -274,6 +278,8 @@ impl NodeMemoryPool {
             let _ = limits;
         }
         self.reserved.release(query);
+        // Reservations blocked on this node's pool may now fit.
+        wake::signal();
     }
 
     /// Current general-pool utilization in [0, 1+], including node-level
@@ -447,6 +453,8 @@ impl MemoryPool for NodeMemoryPool {
                             state.general_used -= moved;
                             state.reserved_used += moved;
                         }
+                        // General-pool room for reservations blocked on it.
+                        wake::signal();
                         // Re-check after promotion (the caller may itself be
                         // the promoted query).
                         let in_reserved_now = big == query;
@@ -497,6 +505,9 @@ impl MemoryPool for NodeMemoryPool {
         limits.global_user.fetch_add(user_delta, Ordering::Relaxed);
         drop(state);
         self.trace_delta(query, total_delta);
+        if total_delta < 0 {
+            wake::signal();
+        }
         Ok(ReservationResult::Granted)
     }
 

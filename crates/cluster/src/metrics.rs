@@ -108,6 +108,9 @@ pub struct ClusterSnapshot {
     /// p50/p95/p99 of queue/planning/execution wall time across finished
     /// queries, from the log-bucketed latency histograms (§VII).
     pub latency: QueryLatencyMetrics,
+    /// Delay from the wake signal that cleared a blocked driver's condition
+    /// to that driver's next quantum (§IV-F1), across all drivers.
+    pub wake_latency: LatencySummary,
     /// Events recorded into the trace timeline so far (0 when disabled).
     pub trace_events: u64,
     /// Events lost to ring overwrites so far — nonzero means the timeline
@@ -179,6 +182,7 @@ impl ClusterSnapshot {
                 })
                 .collect(),
             latency: telemetry.latency_metrics(),
+            wake_latency: telemetry.wake_latency(),
             trace_events: trace.map_or(0, |t| t.recorded()),
             trace_overwritten: trace.map_or(0, |t| t.overwritten_events()),
         }
@@ -276,6 +280,7 @@ impl ClusterSnapshot {
                     ("execution", summary_to_json(&self.latency.execution)),
                 ]),
             ),
+            ("wake_latency", summary_to_json(&self.wake_latency)),
             ("trace_events", int(self.trace_events)),
             ("trace_overwritten", int(self.trace_overwritten)),
         ])
@@ -356,6 +361,7 @@ impl ClusterSnapshot {
                     execution: summary_from_json(lat.field("execution")?)?,
                 }
             },
+            wake_latency: summary_from_json(v.field("wake_latency")?)?,
             trace_events: v.field_u64("trace_events")?,
             trace_overwritten: v.field_u64("trace_overwritten")?,
         })
@@ -591,6 +597,13 @@ mod tests {
                     p99_nanos: 9_900_000,
                     max_nanos: 10_000_000,
                 },
+            },
+            wake_latency: LatencySummary {
+                count: 40,
+                p50_nanos: 3_000,
+                p95_nanos: 20_000,
+                p99_nanos: 45_000,
+                max_nanos: 90_000,
             },
             trace_events: 42,
             trace_overwritten: 3,

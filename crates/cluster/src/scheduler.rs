@@ -1,6 +1,6 @@
 //! Stage, task, and split scheduling (§IV-D).
 
-use presto_common::{PrestoError, Result};
+use presto_common::{wake, PrestoError, Result};
 use presto_connector::CatalogManager;
 use presto_exec::scan::SplitQueue;
 use presto_planner::{FragmentPartitioning, OutputPartitioning, PhysicalPlan, PlanFragment};
@@ -158,6 +158,8 @@ impl SplitFeeder<'_> {
                 if source.is_finished() {
                     break;
                 }
+                // The connector has nothing ready yet: back off and ask
+                // again (the `SplitSource` contract).
                 std::thread::sleep(Duration::from_micros(100));
                 continue;
             }
@@ -209,7 +211,9 @@ impl SplitFeeder<'_> {
                 };
                 // Shortest queue wins; wait while all candidates are full
                 // ("Keeping these queues small allows the system to adapt").
+                // Scan drivers taking a split and query cancellation signal.
                 loop {
+                    let epoch = wake::epoch();
                     if query.is_cancelled() {
                         return Ok(assigned);
                     }
@@ -223,7 +227,7 @@ impl SplitFeeder<'_> {
                         assigned += 1;
                         break;
                     }
-                    std::thread::sleep(Duration::from_micros(100));
+                    wake::wait(epoch, None);
                 }
             }
         }

@@ -11,7 +11,7 @@
 //! summaries of completed queries (worker NULL — task placement is not
 //! kept after completion).
 
-use presto_common::{TraceBuffer, Value};
+use presto_common::{LatencySummary, TraceBuffer, Value};
 use presto_connectors::system::{SystemStateProvider, SystemTable};
 use std::sync::Arc;
 
@@ -287,6 +287,28 @@ impl ClusterSystemState {
             })
             .collect()
     }
+
+    /// `system.runtime.latencies`: the query-phase histograms and, beside
+    /// them, the signal-to-quantum wake latency of blocked drivers.
+    fn latencies(&self) -> Vec<Vec<Value>> {
+        let phases = self.telemetry.latency_metrics();
+        let row = |name: &str, s: LatencySummary| {
+            vec![
+                Value::varchar(name),
+                bigint(s.count),
+                bigint(s.p50_nanos),
+                bigint(s.p95_nanos),
+                bigint(s.p99_nanos),
+                bigint(s.max_nanos),
+            ]
+        };
+        vec![
+            row("queued", phases.queued),
+            row("planning", phases.planning),
+            row("execution", phases.execution),
+            row("wake", self.telemetry.wake_latency()),
+        ]
+    }
 }
 
 impl SystemStateProvider for ClusterSystemState {
@@ -299,6 +321,7 @@ impl SystemStateProvider for ClusterSystemState {
             SystemTable::Caches => self.caches(),
             SystemTable::DynamicFilters => self.dynamic_filters(),
             SystemTable::TraceEvents => self.trace_events(),
+            SystemTable::Latencies => self.latencies(),
         }
     }
 }

@@ -65,6 +65,9 @@ struct Inner {
     queued_hist: LatencyHistogram,
     planning_hist: LatencyHistogram,
     execution_hist: LatencyHistogram,
+    /// Signal-to-quantum delay of blocked drivers made runnable again by a
+    /// wake signal (`presto_common::wake`).
+    wake_hist: LatencyHistogram,
 }
 
 /// Percentile summaries of the per-phase latency histograms, exported in
@@ -208,6 +211,7 @@ impl ClusterTelemetry {
                 queued_hist: LatencyHistogram::new(),
                 planning_hist: LatencyHistogram::new(),
                 execution_hist: LatencyHistogram::new(),
+                wake_hist: LatencyHistogram::new(),
             }),
         }
     }
@@ -268,6 +272,17 @@ impl ClusterTelemetry {
             planning: self.inner.planning_hist.summary(),
             execution: self.inner.execution_hist.summary(),
         }
+    }
+
+    /// Record how long a blocked driver waited between the signal that
+    /// cleared its condition and the start of its next quantum.
+    pub fn record_wake_latency(&self, latency: Duration) {
+        self.inner.wake_hist.record(latency.as_nanos() as u64);
+    }
+
+    /// Percentile summary of the wake-latency histogram.
+    pub fn wake_latency(&self) -> LatencySummary {
+        self.inner.wake_hist.summary()
     }
 
     pub fn query_queued(&self, query: QueryId) {

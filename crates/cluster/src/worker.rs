@@ -9,16 +9,20 @@
 //! processing another task."
 
 use parking_lot::Mutex;
+use presto_common::wake::{self, Wake};
 use presto_common::{NodeId, PrestoError, QueryId, TaskId, TraceBuffer, TraceKind};
 use presto_exec::{Driver, DriverState, Task};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crate::memory::NodeMemoryPool;
 use crate::mlfq::MultilevelQueue;
 use crate::telemetry::ClusterTelemetry;
+
+/// How soon a driver whose memory reservation was refused runs again if no
+/// release signal comes first.
+const MEMORY_RETRY_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Lifecycle of a worker node, exported by `ClusterSnapshot` (§IV-G).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +68,10 @@ impl WorkerState {
     }
 }
 
+/// Live [`QueryState`]s in this process: the leak check for the state ↔
+/// task-handle reference cycle (every `TaskHandle` holds its query's state).
+static LIVE_QUERY_STATES: AtomicUsize = AtomicUsize::new(0);
+
 /// Shared, cluster-wide state of one query (error slot + cancellation).
 pub struct QueryState {
     pub query: QueryId,
@@ -71,17 +79,29 @@ pub struct QueryState {
     cancelled: AtomicBool,
     cpu_nanos: AtomicU64,
     tasks: Mutex<Vec<Arc<TaskHandle>>>,
+    /// What the coordinator parks on while this query runs: its root and
+    /// writer-scaling buffers, its task completions and its failure or
+    /// cancellation signal here.
+    wake: Arc<Wake>,
 }
 
 impl QueryState {
     pub fn new(query: QueryId) -> Arc<QueryState> {
+        LIVE_QUERY_STATES.fetch_add(1, Ordering::Relaxed);
         Arc::new(QueryState {
             query,
             error: Mutex::new(None),
             cancelled: AtomicBool::new(false),
             cpu_nanos: AtomicU64::new(0),
             tasks: Mutex::new(Vec::new()),
+            wake: Arc::new(Wake::new()),
         })
+    }
+
+    /// `QueryState`s alive in this process. Each live `TaskHandle` keeps
+    /// one alive, so 0 also means no task handle survived.
+    pub fn live_count() -> usize {
+        LIVE_QUERY_STATES.load(Ordering::Relaxed)
     }
 
     pub fn register_task(&self, task: Arc<TaskHandle>) {
@@ -105,6 +125,22 @@ impl QueryState {
         for task in self.tasks.lock().iter() {
             task.cancel();
         }
+        self.wake.signal();
+        wake::signal();
+    }
+
+    /// This query's own wake; see the field.
+    pub fn wake(&self) -> &Arc<Wake> {
+        &self.wake
+    }
+
+    /// Drop the query's references to its task handles. Each handle points
+    /// back at this state, so without this a finished query's state, task
+    /// handles and compiled tasks would keep each other alive forever.
+    /// Called once the query has been cancelled during cleanup; drivers
+    /// still queued hold their own handle references until they retire.
+    pub fn release_tasks(&self) {
+        self.tasks.lock().clear();
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -123,10 +159,11 @@ impl QueryState {
     pub fn cpu(&self) -> Duration {
         Duration::from_nanos(self.cpu_nanos.load(Ordering::Relaxed))
     }
+}
 
-    /// All registered tasks have completed (successfully or not).
-    pub fn all_tasks_done(&self) -> bool {
-        self.tasks.lock().iter().all(|t| t.is_done())
+impl Drop for QueryState {
+    fn drop(&mut self) {
+        LIVE_QUERY_STATES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -182,6 +219,7 @@ impl TaskHandle {
             // happens to drop.
             self.task.spill.remove_all();
         }
+        self.query_state.wake.signal();
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -204,6 +242,7 @@ impl TaskHandle {
             self.task.memory.release_all();
             // All drivers retired: no operator can read a spill run again.
             self.task.spill.remove_all();
+            self.query_state.wake.signal();
         }
     }
 }
@@ -214,6 +253,9 @@ impl TaskHandle {
 pub struct DriverRun {
     driver: Driver,
     task: Arc<TaskHandle>,
+    /// When the signal that made this blocked driver runnable again was
+    /// sent; consumed by its next quantum for the wake-latency histogram.
+    woken_by: Option<Instant>,
 }
 
 /// A worker node: N executor threads over a multilevel feedback queue.
@@ -221,23 +263,29 @@ pub struct Worker {
     pub node: NodeId,
     pub pool: Arc<NodeMemoryPool>,
     queue: Arc<MultilevelQueue<DriverRun>>,
-    blocked: Arc<Mutex<VecDeque<(Instant, DriverRun)>>>,
+    /// Drivers whose last quantum ended blocked, each with the wake epoch
+    /// read before that quantum started. A driver becomes runnable again
+    /// as soon as the epoch differs from its stamp (see `presto_common::wake`).
+    blocked: Mutex<Vec<(u64, DriverRun)>>,
     shutdown: Arc<AtomicBool>,
     dead: Arc<AtomicBool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     telemetry: ClusterTelemetry,
     worker_index: usize,
-    /// Tasks currently known to this worker (for kill()).
-    tasks: Mutex<Vec<Arc<TaskHandle>>>,
+    /// Tasks submitted to this worker (for kill() and snapshots). Weak: a
+    /// task lives as long as its query or one of its drivers holds it.
+    tasks: Mutex<Vec<Weak<TaskHandle>>>,
     running_drivers: Arc<AtomicUsize>,
     trace: Option<Arc<TraceBuffer>>,
     /// Lifecycle state ([`WorkerState`] as u8), exported to snapshots and
     /// consulted by placement.
     state: AtomicU8,
     /// Monotone liveness counter, bumped by executor threads between quanta
-    /// (and while idle). The coordinator's failure detector declares the
-    /// worker lost when it stops advancing for `liveness_timeout`.
+    /// (and while idle, at least every `heartbeat_interval`). The
+    /// coordinator's failure detector declares the worker lost when it
+    /// stops advancing for `liveness_timeout`.
     heartbeat: AtomicU64,
+    heartbeat_interval: Duration,
     /// Chaos hook: a paused worker's scheduler stops taking quanta (and
     /// stops heartbeating) — the injected "hung worker" fault.
     paused: AtomicBool,
@@ -254,12 +302,13 @@ impl Worker {
         pool: Arc<NodeMemoryPool>,
         telemetry: ClusterTelemetry,
         trace: Option<Arc<TraceBuffer>>,
+        heartbeat_interval: Duration,
     ) -> Arc<Worker> {
         let worker = Arc::new(Worker {
             node,
             pool,
             queue: Arc::new(MultilevelQueue::new()),
-            blocked: Arc::new(Mutex::new(VecDeque::new())),
+            blocked: Mutex::new(Vec::new()),
             shutdown: Arc::new(AtomicBool::new(false)),
             dead: Arc::new(AtomicBool::new(false)),
             threads: Mutex::new(Vec::new()),
@@ -270,6 +319,7 @@ impl Worker {
             trace,
             state: AtomicU8::new(WorkerState::Active as u8),
             heartbeat: AtomicU64::new(0),
+            heartbeat_interval,
             paused: AtomicBool::new(false),
             leases: AtomicUsize::new(0),
         });
@@ -320,21 +370,22 @@ impl Worker {
             return handle;
         }
         {
-            // Prune completed tasks so a long-lived worker does not retain
-            // every task (and its buffers) it ever ran.
+            // Prune freed tasks so the list stays as long as the live set.
             let mut tasks = self.tasks.lock();
-            tasks.retain(|t| !t.is_done());
-            tasks.push(Arc::clone(&handle));
+            tasks.retain(|t| t.strong_count() > 0);
+            tasks.push(Arc::downgrade(&handle));
         }
         for driver in drivers {
             self.queue.push(
                 DriverRun {
                     driver,
                     task: Arc::clone(&handle),
+                    woken_by: None,
                 },
                 Duration::ZERO,
             );
         }
+        wake::signal();
         // Close the race with a concurrent kill(): if the worker died while
         // we were enqueuing, the kill may have drained the queue before (or
         // while) our drivers landed — abort them here so the task retires.
@@ -360,7 +411,7 @@ impl Worker {
         self.running_drivers.load(Ordering::Relaxed)
     }
 
-    /// Drivers parked on a blocked condition (backoff pending).
+    /// Drivers parked on a blocked condition, waiting for a wake signal.
     pub fn blocked_drivers(&self) -> usize {
         self.blocked.lock().len()
     }
@@ -376,8 +427,8 @@ impl Worker {
         self.tasks
             .lock()
             .iter()
+            .filter_map(Weak::upgrade)
             .filter(|t| !t.is_done())
-            .cloned()
             .collect()
     }
 
@@ -397,7 +448,8 @@ impl Worker {
             return;
         }
         self.set_state(WorkerState::Lost);
-        let tasks: Vec<Arc<TaskHandle>> = self.tasks.lock().clone();
+        let tasks: Vec<Arc<TaskHandle>> =
+            self.tasks.lock().iter().filter_map(Weak::upgrade).collect();
         for task in tasks {
             if !task.is_done() {
                 task.query_state.fail(PrestoError::worker_failed(format!(
@@ -477,6 +529,7 @@ impl Worker {
 
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake::signal();
         if self.state() != WorkerState::Lost {
             self.set_state(WorkerState::Shutdown);
         }
@@ -486,11 +539,28 @@ impl Worker {
         }
     }
 
+    /// Requeue every blocked driver whose stamp predates `epoch`: some
+    /// state changed after its quantum started, so its condition may have
+    /// cleared.
+    fn readmit_blocked(&self, epoch: u64) {
+        let mut blocked = self.blocked.lock();
+        let mut i = 0;
+        while i < blocked.len() {
+            if blocked[i].0 >= epoch {
+                i += 1;
+                continue;
+            }
+            let (stamp, mut run) = blocked.swap_remove(i);
+            run.woken_by = wake::global().signalled_at(stamp + 1);
+            self.queue.push(run, Duration::ZERO);
+        }
+    }
+
     fn run_executor(&self, thread_index: u32) {
         while !self.shutdown.load(Ordering::SeqCst) {
             if self.dead.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
+                // kill() aborted every task and emptied the queues.
+                return;
             }
             // A hung scheduler (chaos injection) stops taking quanta AND
             // stops heartbeating — the detector must notice.
@@ -499,22 +569,12 @@ impl Worker {
                 continue;
             }
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
-            // Re-admit blocked drivers whose backoff elapsed.
-            {
-                let mut blocked = self.blocked.lock();
-                let now = Instant::now();
-                let mut rest = VecDeque::new();
-                while let Some((at, run)) = blocked.pop_front() {
-                    if at <= now {
-                        self.queue.push(run, Duration::ZERO);
-                    } else {
-                        rest.push_back((at, run));
-                    }
-                }
-                *blocked = rest;
-            }
+            let epoch = wake::epoch();
+            self.readmit_blocked(epoch);
             let Some(mut run) = self.queue.pop() else {
-                std::thread::sleep(Duration::from_micros(200));
+                // Park until the next signal. The timeout only keeps the
+                // heartbeat advancing on an idle worker.
+                wake::wait(epoch, Some(self.heartbeat_interval));
                 continue;
             };
             if run.task.is_cancelled() || run.task.query_state.is_cancelled() {
@@ -524,6 +584,13 @@ impl Worker {
             self.running_drivers.fetch_add(1, Ordering::Relaxed);
             let cpu_before = run.task.cpu();
             let started = Instant::now();
+            if let Some(signalled) = run.woken_by.take() {
+                self.telemetry
+                    .record_wake_latency(started.saturating_duration_since(signalled));
+            }
+            // Stamp before the quantum: a signal that lands while it runs
+            // makes a blocked outcome runnable again at once.
+            let stamp = wake::epoch();
             // Operator panics (engine bugs, storage I/O panics in lazy
             // loaders) must fail the query, never kill the executor thread.
             let quanta = run.task.quanta;
@@ -581,10 +648,14 @@ impl Worker {
                             }
                         }
                     }
-                    let backoff = Duration::from_micros(200);
-                    self.blocked
-                        .lock()
-                        .push_back((Instant::now() + backoff, run));
+                    if reason == BlockedReason::Memory {
+                        // Memory is reconciled after the quantum moved its
+                        // pages, so a refused driver has already made
+                        // progress and may be the only one that can. Retry
+                        // it after a short backoff as well as on release.
+                        wake::wake_at(Instant::now() + MEMORY_RETRY_BACKOFF);
+                    }
+                    self.blocked.lock().push((stamp, run));
                 }
                 Ok(DriverState::Finished) => {
                     run.task.driver_done(Some(&run.driver));

@@ -193,6 +193,27 @@ fn metrics_snapshot_changes_across_mid_query_samples() {
 }
 
 #[test]
+fn wake_latency_histogram_fills_after_multi_stage_query() {
+    let c = cluster();
+    // Join + aggregation: exchange and probe drivers block on input and
+    // are made runnable again by wake signals.
+    c.execute(
+        "SELECT o.custkey, SUM(l.tax) FROM orders o JOIN lineitem l \
+         ON o.orderkey = l.orderkey GROUP BY o.custkey",
+    )
+    .unwrap();
+    let wake = c.metrics_snapshot().wake_latency;
+    assert!(wake.count > 0, "no driver wake recorded: {wake:?}");
+    assert!(wake.p50_nanos <= wake.max_nanos);
+    let rows = c
+        .execute("SELECT count FROM system.runtime.latencies WHERE histogram = 'wake'")
+        .unwrap()
+        .rows();
+    assert!(matches!(rows[0][0], Value::Bigint(n) if n > 0), "{rows:?}");
+    c.shutdown();
+}
+
+#[test]
 fn collected_snapshot_round_trips_through_json() {
     let c = cluster();
     c.execute("SELECT COUNT(*) FROM orders").unwrap();
@@ -458,10 +479,14 @@ fn arb_snapshot() -> impl Strategy<Value = ClusterSnapshot> {
             (proptest::collection::vec(counter(), 4..5), "[a-z/_-]{0,16}"),
         ),
         proptest::collection::vec(arb_cache(), 0..3),
-        ((arb_summary(), arb_summary(), arb_summary()), counter(), counter()),
+        (
+            (arb_summary(), arb_summary(), arb_summary(), arb_summary()),
+            counter(),
+            counter(),
+        ),
     )
         .prop_map(
-            |(uptime_nanos, workers, shuffle, (queries, df, fu, (sp, spill_dir)), caches, ((lq, lp, le), trace_events, trace_overwritten))| ClusterSnapshot {
+            |(uptime_nanos, workers, shuffle, (queries, df, fu, (sp, spill_dir)), caches, ((lq, lp, le, wake_latency), trace_events, trace_overwritten))| ClusterSnapshot {
                 uptime_nanos,
                 workers,
                 shuffle: ShuffleMetrics {
@@ -507,6 +532,7 @@ fn arb_snapshot() -> impl Strategy<Value = ClusterSnapshot> {
                     planning: lp,
                     execution: le,
                 },
+                wake_latency,
                 trace_events,
                 trace_overwritten,
             },

@@ -29,7 +29,7 @@ struct ShardData {
     rows: Vec<Vec<Value>>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ShardedTable {
     schema: Schema,
     /// The sharding key column.
@@ -39,9 +39,12 @@ struct ShardedTable {
     indexes: Vec<HashMap<Value, Vec<usize>>>,
 }
 
+/// Tables are immutable snapshots: `load_table` swaps in a new `Arc`, so
+/// planning, split enumeration and scans share one allocation, and a scan
+/// that started before a reload keeps reading the snapshot it opened.
 #[derive(Default)]
 struct Inner {
-    tables: HashMap<String, ShardedTable>,
+    tables: HashMap<String, Arc<ShardedTable>>,
 }
 
 /// The connector.
@@ -94,12 +97,12 @@ impl ShardedSqlConnector {
         }
         self.inner.write().tables.insert(
             name.to_string(),
-            ShardedTable {
+            Arc::new(ShardedTable {
                 schema,
                 key_column,
                 shards,
                 indexes,
-            },
+            }),
         );
         self.cache.invalidate_table(&self.catalog_key, name, None);
     }
@@ -116,7 +119,7 @@ impl ShardedSqlConnector {
         self.rows_scanned.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn table(&self, name: &str) -> Result<ShardedTable> {
+    fn table(&self, name: &str) -> Result<Arc<ShardedTable>> {
         self.inner
             .read()
             .tables
@@ -186,12 +189,12 @@ impl ConnectorMetadata for ShardedSqlConnector {
         }
         inner.tables.insert(
             table.to_string(),
-            ShardedTable {
+            Arc::new(ShardedTable {
                 schema: schema.clone(),
                 key_column: 0,
                 shards: vec![ShardData::default(); self.shard_count],
                 indexes: vec![HashMap::new(); self.shard_count],
-            },
+            }),
         );
         drop(inner);
         self.cache.invalidate_table(&self.catalog_key, table, None);
@@ -315,7 +318,7 @@ impl PageSourceFactory for ShardedSqlConnector {
 }
 
 struct ShardedIndexSource {
-    table: ShardedTable,
+    table: Arc<ShardedTable>,
     shard_count: usize,
     output_columns: Vec<usize>,
 }
@@ -469,6 +472,61 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..5).map(|i| vec![Value::Bigint(i)]).collect();
         c.load_table("ads", schema, 0, &rows);
         assert_eq!(c.table_statistics("ads").row_count.value(), Some(5.0));
+    }
+
+    #[test]
+    fn source_opened_before_reload_reads_the_old_snapshot() {
+        let c = connector();
+        let all = TupleDomain::all();
+        let splits = c
+            .split_source("ads", "sharded", &all)
+            .unwrap()
+            .next_batch(64)
+            .unwrap();
+        let options = ScanOptions {
+            columns: vec![0],
+            ..Default::default()
+        };
+        let mut sources: Vec<_> = splits
+            .iter()
+            .map(|s| c.create_source(s, &options).unwrap())
+            .collect();
+        let mut index = c.index_source("ads", &[0], &[1]).unwrap().expect("index");
+        let schema = Schema::of(&[("ad_id", DataType::Bigint), ("clicks", DataType::Bigint)]);
+        let rows: Vec<Vec<Value>> = (0..5)
+            .map(|i| vec![Value::Bigint(i), Value::Bigint(0)])
+            .collect();
+        c.load_table("ads", schema, 0, &rows);
+        let mut old_rows = 0;
+        for source in &mut sources {
+            while let Some(page) = source.next_page().unwrap() {
+                old_rows += page.row_count();
+            }
+        }
+        assert_eq!(old_rows, 10_000, "sources opened before the reload");
+        let keys = Page::from_rows(
+            &Schema::of(&[("k", DataType::Bigint)]),
+            &[vec![Value::Bigint(3)]],
+        );
+        assert_eq!(
+            index.lookup(&keys).unwrap().0.row_count(),
+            10,
+            "old index snapshot"
+        );
+        assert_eq!(scan_all(&c, &all, vec![0]), 5, "new scans see the reload");
+    }
+
+    #[test]
+    fn planning_and_scans_share_one_table_allocation() {
+        let c = connector();
+        let first = c.table("ads").unwrap();
+        // Layout, split and page-source calls all go through `table()`.
+        c.table_layouts("ads");
+        scan_all(&c, &TupleDomain::all(), vec![0]);
+        assert!(Arc::ptr_eq(&first, &c.table("ads").unwrap()));
+        let _index = c.index_source("ads", &[0], &[1]).unwrap().expect("index");
+        // The catalog map, `first`, and the index source: no copies.
+        assert_eq!(Arc::strong_count(&first), 3);
     }
 
     #[test]

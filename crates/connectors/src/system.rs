@@ -41,10 +41,13 @@ pub enum SystemTable {
     DynamicFilters,
     /// One row per event currently retained in the trace ring.
     TraceEvents,
+    /// One row per cluster latency histogram: the query phases (queued,
+    /// planning, execution) and the driver wake latency.
+    Latencies,
 }
 
 impl SystemTable {
-    pub const ALL: [SystemTable; 7] = [
+    pub const ALL: [SystemTable; 8] = [
         SystemTable::Queries,
         SystemTable::Tasks,
         SystemTable::Operators,
@@ -52,6 +55,7 @@ impl SystemTable {
         SystemTable::Caches,
         SystemTable::DynamicFilters,
         SystemTable::TraceEvents,
+        SystemTable::Latencies,
     ];
 
     /// Table name as addressed through SQL: `system.<this>`, i.e. the
@@ -65,6 +69,7 @@ impl SystemTable {
             SystemTable::Caches => "runtime.caches",
             SystemTable::DynamicFilters => "runtime.dynamic_filters",
             SystemTable::TraceEvents => "runtime.trace_events",
+            SystemTable::Latencies => "runtime.latencies",
         }
     }
 
@@ -156,6 +161,14 @@ impl SystemTable {
                 ("a", Bigint),
                 ("b", Bigint),
                 ("overwritten_events", Bigint),
+            ]),
+            SystemTable::Latencies => Schema::of(&[
+                ("histogram", Varchar),
+                ("count", Bigint),
+                ("p50_nanos", Bigint),
+                ("p95_nanos", Bigint),
+                ("p99_nanos", Bigint),
+                ("max_nanos", Bigint),
             ]),
         }
     }
@@ -301,7 +314,7 @@ mod tests {
     fn lists_all_runtime_tables() {
         let c = connector(0);
         let tables = c.list_tables();
-        assert_eq!(tables.len(), 7);
+        assert_eq!(tables.len(), 8);
         assert!(tables.contains(&"runtime.queries".to_string()));
         for t in &tables {
             assert!(c.table_schema(t).is_ok());

@@ -210,6 +210,13 @@ impl Driver {
                         progressed = true;
                         continue;
                     }
+                    // Reconcile memory for the pages moved in this pass
+                    // before finishing: a finished operator (an aggregation
+                    // emitting its groups) can no longer spill, so the last
+                    // page's growth must meet the pool while it still can.
+                    if progressed {
+                        continue;
+                    }
                     self.operators[i + 1].finish();
                     self.finish_notified[i + 1] = true;
                     progressed = true;

@@ -25,8 +25,8 @@
 //!    for filters; an expired deadline simply scans unpruned — dynamic
 //!    filtering is an optimization, never a correctness dependency.
 
-use parking_lot::{Condvar, Mutex};
-use presto_common::{DataType, PlanNodeId, Value};
+use parking_lot::Mutex;
+use presto_common::{wake, DataType, PlanNodeId, Value};
 use presto_connector::{Domain, TupleDomain};
 use presto_page::hash::hash_columns;
 use presto_page::Page;
@@ -336,7 +336,6 @@ struct FilterSlot {
 #[derive(Default)]
 pub struct DynamicFilterRegistry {
     slots: Mutex<HashMap<PlanNodeId, FilterSlot>>,
-    cond: Condvar,
     totals: DfTotals,
 }
 
@@ -363,7 +362,7 @@ impl DynamicFilterRegistry {
     }
 
     /// Merge one build side's domains in; the report completing the filter
-    /// publishes it and wakes waiters. Reports to an unregistered join
+    /// publishes it and wakes waiting scans. Reports to an unregistered join
     /// complete immediately (single-task execution).
     pub fn report(&self, join: PlanNodeId, collected: CollectedDomains) {
         let mut slots = self.slots.lock();
@@ -386,7 +385,7 @@ impl DynamicFilterRegistry {
             slot.done = Some(Arc::new(merged.publish()));
             self.totals.filters_published.fetch_add(1, Ordering::Relaxed);
             drop(slots);
-            self.cond.notify_all();
+            wake::signal();
         }
     }
 
@@ -399,26 +398,6 @@ impl DynamicFilterRegistry {
             .lock()
             .get(&join)
             .is_some_and(|s| s.done.is_some())
-    }
-
-    /// Block until every listed join's filter is complete or `deadline`
-    /// passes; returns whether all completed. Used by the coordinator's
-    /// split feeder — operators poll non-blockingly instead.
-    pub fn wait_all(&self, joins: &[PlanNodeId], deadline: Instant) -> bool {
-        let mut slots = self.slots.lock();
-        loop {
-            let all = joins
-                .iter()
-                .all(|j| slots.get(j).is_some_and(|s| s.done.is_some()));
-            if all {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.cond.wait_for(&mut slots, deadline - now);
-        }
     }
 
     pub fn filters_published(&self) -> u64 {
@@ -516,6 +495,8 @@ impl ScanDynamicFilter {
             .iter()
             .all(|s| self.registry.is_complete(s.join));
         if !complete && Instant::now() < self.deadline {
+            // Publication signals; the deadline needs a timer.
+            wake::wake_at(self.deadline);
             return false;
         }
         if self
@@ -785,14 +766,43 @@ mod tests {
     }
 
     #[test]
-    fn wait_all_times_out_without_reports() {
+    fn publication_signals_waiting_scans() {
         let registry = DynamicFilterRegistry::new();
         let join = PlanNodeId(1);
         registry.register(join, 1);
-        let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(!registry.wait_all(&[join], deadline));
+        let before = wake::epoch();
         registry.report(join, collect(&[5], 100));
-        assert!(registry.wait_all(&[join], Instant::now()));
+        assert!(
+            wake::epoch() > before,
+            "publishing must move the wake epoch"
+        );
+    }
+
+    #[test]
+    fn unpublished_filter_wakes_its_scan_at_the_deadline() {
+        let registry = DynamicFilterRegistry::new();
+        let join = PlanNodeId(1);
+        registry.register(join, 1); // never reported
+        let spec = DynamicFilterSpec {
+            join,
+            join_fragment: 0,
+            scan: PlanNodeId(2),
+            scan_fragment: 1,
+            broadcast: false,
+            keys: vec![],
+        };
+        let df = ScanDynamicFilter::new(registry, vec![spec], Duration::from_millis(20));
+        let started = Instant::now();
+        // Park the way a blocked scan does: only the armed timer (or an
+        // unrelated signal) can end each wait before its 5 s timeout.
+        loop {
+            let epoch = wake::epoch();
+            if df.ready() {
+                break;
+            }
+            wake::wait(epoch, Some(Duration::from_secs(5)));
+        }
+        assert!(started.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

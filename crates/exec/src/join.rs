@@ -10,8 +10,8 @@
 //! key once per page instead of once per row.
 
 use parking_lot::Mutex;
+use presto_common::{wake, PrestoError, Result};
 use presto_common::{DataType, Schema, Value};
-use presto_common::{PrestoError, Result};
 use presto_expr::{CompiledExpr, Expr};
 use presto_page::hash::{combine_hashes, hash_cell, hash_columns_cached, DictionaryHashCache};
 use presto_page::{Block, Page};
@@ -566,6 +566,8 @@ impl JoinBridge {
             spill: Mutex::new(spill),
         }));
         drop(s);
+        // Finished builders blocked on the build may now claim partitions.
+        wake::signal();
         if let Some((src, collected)) = publish {
             src.registry.report(src.join, collected);
         }
@@ -625,6 +627,9 @@ impl JoinBridge {
         s.bytes = 0;
         s.finalize = None;
         s.table = Some(table);
+        drop(s);
+        // Probe drivers blocked on the build may run.
+        wake::signal();
     }
 }
 

@@ -7,7 +7,7 @@
 //! which forwards to whatever [`MemoryPool`] the worker installed (the real
 //! general/reserved pool arbitration lives in `presto-cluster`).
 
-use presto_common::{QueryId, Result};
+use presto_common::{wake, QueryId, Result};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,9 +51,13 @@ impl RevocationHandle {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Arbiter side: ask the owner to spill.
+    /// Arbiter side: ask the owner to spill. The owner may be parked on
+    /// some other condition, so wake it (once per request: a reservation
+    /// that keeps retrying must not keep re-waking itself).
     pub fn request(&self) {
-        self.requested.store(true, Ordering::SeqCst);
+        if !self.requested.swap(true, Ordering::SeqCst) {
+            wake::signal();
+        }
     }
 
     pub fn is_requested(&self) -> bool {

@@ -13,7 +13,7 @@
 //! the intra-node parallelism of §IV-C4.
 
 use parking_lot::Mutex;
-use presto_common::Result;
+use presto_common::{wake, Result};
 use presto_page::Page;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,12 +62,14 @@ impl LocalQueue {
         self.bytes
             .fetch_add(page.size_in_bytes(), Ordering::Relaxed);
         self.pages.lock().push_back(page);
+        wake::signal();
     }
 
     fn pop(&self) -> Option<Page> {
         let page = self.pages.lock().pop_front()?;
         self.bytes
             .fetch_sub(page.size_in_bytes(), Ordering::Relaxed);
+        wake::signal();
         Some(page)
     }
 
@@ -77,6 +79,7 @@ impl LocalQueue {
 
     fn producer_done(&self) {
         self.producers.fetch_sub(1, Ordering::SeqCst);
+        wake::signal();
     }
 
     fn all_producers_done(&self) -> bool {

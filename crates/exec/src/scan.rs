@@ -8,7 +8,7 @@
 //! [`SplitQueue`].
 
 use crossbeam::queue::SegQueue;
-use presto_common::{Result, Session};
+use presto_common::{wake, Result, Session};
 use presto_connector::{Connector, ScanOptions, Split};
 use presto_expr::{Expr, PageProcessor};
 use presto_page::Page;
@@ -40,16 +40,20 @@ impl SplitQueue {
         // re-add happens before the exhaustion check, so no split is lost.
         self.splits.push(split);
         self.queued.fetch_add(1, Ordering::SeqCst);
+        wake::signal();
     }
 
     pub fn no_more_splits(&self) {
         self.no_more.store(true, Ordering::SeqCst);
+        wake::signal();
     }
 
     pub fn pop(&self) -> Option<Split> {
         let s = self.splits.pop();
         if s.is_some() {
             self.queued.fetch_sub(1, Ordering::SeqCst);
+            // Room for a split feeder waiting on a full queue.
+            wake::signal();
         }
         s
     }

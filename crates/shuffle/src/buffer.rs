@@ -2,10 +2,11 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
+use presto_common::wake::{self, Wake};
 use presto_page::{frame_payload, serialize_page, Page};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Result of one long-poll request.
 #[derive(Debug, Clone)]
@@ -58,6 +59,9 @@ pub struct OutputBuffer {
     /// Partitions currently accepting round-robin traffic (§IV-E3 adaptive
     /// writer scaling: consumers activate as the engine adds writer tasks).
     active_partitions: AtomicUsize,
+    /// Extra wake signalled on every change besides the process-wide one:
+    /// the owning query's, when its coordinator watches this buffer.
+    listener: OnceLock<Arc<Wake>>,
     /// Total pages/bytes ever enqueued, for telemetry.
     total_pages: AtomicU64,
     total_wire_bytes: AtomicU64,
@@ -90,10 +94,24 @@ impl OutputBuffer {
             no_more_pages: std::sync::atomic::AtomicBool::new(false),
             aborted: std::sync::atomic::AtomicBool::new(false),
             active_partitions: AtomicUsize::new(consumer_count),
+            listener: OnceLock::new(),
             total_pages: AtomicU64::new(0),
             total_wire_bytes: AtomicU64::new(0),
             total_logical_bytes: AtomicU64::new(0),
         })
+    }
+
+    /// Also signal `wake` on every change (the coordinator's root and
+    /// writer-scaling buffers). Only the first listener set takes effect.
+    pub fn set_listener(&self, wake: Arc<Wake>) {
+        let _ = self.listener.set(wake);
+    }
+
+    fn signal(&self) {
+        wake::signal();
+        if let Some(listener) = self.listener.get() {
+            listener.signal();
+        }
     }
 
     pub fn consumer_count(&self) -> usize {
@@ -147,17 +165,21 @@ impl OutputBuffer {
             return;
         }
         let wire_len = frame.len();
+        // Count the bytes before the page becomes visible: a concurrent poll
+        // or close may release it as soon as the lock drops, and releasing
+        // uncounted bytes would wrap the counter.
+        self.buffered_bytes.fetch_add(wire_len, Ordering::Relaxed);
         let mut p = self.partitions[partition].lock();
         let seq = p.next_seq;
         p.next_seq += 1;
         p.pages.push_back((seq, frame));
         drop(p);
-        self.buffered_bytes.fetch_add(wire_len, Ordering::Relaxed);
         self.total_pages.fetch_add(1, Ordering::Relaxed);
         self.total_wire_bytes
             .fetch_add(wire_len as u64, Ordering::Relaxed);
         self.total_logical_bytes
             .fetch_add(logical_len as u64, Ordering::Relaxed);
+        self.signal();
     }
 
     /// Broadcast a page to every partition (replicated joins). The page is
@@ -174,6 +196,7 @@ impl OutputBuffer {
     /// Declare that no further pages will be enqueued.
     pub fn set_no_more_pages(&self) {
         self.no_more_pages.store(true, Ordering::SeqCst);
+        self.signal();
     }
 
     /// Teardown: stop accepting pages and release every retained frame
@@ -190,6 +213,7 @@ impl OutputBuffer {
         if freed > 0 {
             self.buffered_bytes.fetch_sub(freed, Ordering::Relaxed);
         }
+        self.signal();
     }
 
     /// Source-lost teardown: like [`close`](Self::close), but consumers must
@@ -233,6 +257,8 @@ impl OutputBuffer {
         }
         if freed > 0 {
             self.buffered_bytes.fetch_sub(freed, Ordering::Relaxed);
+            // Room for a producer stalled on a full buffer.
+            self.signal();
         }
         // Collect the next batch (without removing: retained until acked).
         let mut pages = Vec::new();

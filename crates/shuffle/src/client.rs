@@ -17,7 +17,7 @@
 
 use crossbeam::queue::SegQueue;
 use parking_lot::{Mutex, RwLock};
-use presto_common::{ErrorCode, PrestoError, Result};
+use presto_common::{wake, ErrorCode, PrestoError, Result};
 use presto_page::{decode_framed_page, Page};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -194,6 +194,7 @@ impl ExchangeClient {
         while let Some((_page, wire_len)) = self.ready.pop() {
             self.buffered_bytes.fetch_sub(wire_len, Ordering::SeqCst);
         }
+        wake::signal();
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -316,9 +317,11 @@ impl ExchangeClient {
                 "exchange source lost: producing task's worker crashed or was declared dead",
             ));
         }
-        // Honor the post-failure backoff window.
+        // Honor the post-failure backoff window. Drivers waiting on it
+        // are woken by a timer when it ends.
         if let Some(at) = progress.retry_after {
             if Instant::now() < at {
+                wake::wake_at(at);
                 return Ok(PollOutcome::Pending);
             }
             progress.retry_after = None;
@@ -330,11 +333,14 @@ impl ExchangeClient {
         if !self.poll_latency.is_zero() {
             match progress.in_flight_until {
                 None => {
-                    progress.in_flight_until = Some(Instant::now() + self.poll_latency);
+                    let deadline = Instant::now() + self.poll_latency;
+                    progress.in_flight_until = Some(deadline);
                     self.in_flight.fetch_add(1, Ordering::Relaxed);
+                    wake::wake_at(deadline);
                     return Ok(PollOutcome::Pending);
                 }
                 Some(deadline) if Instant::now() < deadline => {
+                    wake::wake_at(deadline);
                     return Ok(PollOutcome::Pending);
                 }
                 Some(_) => {
@@ -382,8 +388,9 @@ impl ExchangeClient {
                     // Transient: token not advanced, nothing buffered; the
                     // next poll of this source re-fetches the same batch —
                     // after a jittered exponential backoff.
-                    progress.retry_after =
-                        Some(Instant::now() + self.retry_delay(progress.consecutive_failures));
+                    let retry_at = Instant::now() + self.retry_delay(progress.consecutive_failures);
+                    progress.retry_after = Some(retry_at);
+                    wake::wake_at(retry_at);
                     return Ok(PollOutcome::Idle);
                 }
             }
@@ -412,6 +419,8 @@ impl ExchangeClient {
             }
         }
         if delivered || newly_finished {
+            // Sibling exchange drivers sharing this client may be blocked.
+            wake::signal();
             Ok(PollOutcome::Delivered)
         } else {
             Ok(PollOutcome::Idle)
